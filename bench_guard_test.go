@@ -1,8 +1,6 @@
 package dear_test
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 
@@ -13,100 +11,52 @@ import (
 	"repro/internal/simnet"
 )
 
+// Reference counts of the federation-scaling workload
+// (federationScalingConfig) at 4 partitions with GOMAXPROCS=1, where the
+// coordinator's schedule is fully serialized and the round count is
+// reproducible. They were recorded with go1.24 from 13 iterations of
+// BenchmarkFederationScaling's partitions-4 body run under GOMAXPROCS=1.
+// The gates below allow 25% above each.
+const (
+	refFedSyncRounds = 71    // coordination rounds per run
+	refFedGrants     = 279   // grants issued per run
+	refFedAllocs     = 63676 // heap allocations per run
+	refFedEvents     = 99584 // events fired per run
+)
+
 // TestFederationRoundsBudget is the coordination-cost regression gate:
 // it re-runs the FederationScaling workload at 4 partitions once and
 // fails if the coordination-round count regresses more than 25% above
-// the committed BENCH_federation.json reference (the gomaxprocs-1
-// entry, where the coordinator's schedule is fully serialized and the
-// round count is reproducible). Rounds only shrink with parallelism —
-// eager re-grants bypass the all-parked sweep the counter tracks — so
-// the serialized reference is an upper bound on any healthy schedule.
-// Grants are budgeted the same way. CI runs this next to the federation
-// race tests; a wall-clock benchmark would be noise-bound here, but the
-// round and grant counts are structural.
+// refFedSyncRounds. Rounds only shrink with parallelism — eager
+// re-grants bypass the all-parked sweep the counter tracks — so the
+// serialized reference is an upper bound on any healthy schedule.
+// Grants are budgeted the same way against refFedGrants. CI runs this
+// next to the federation race tests; a wall-clock benchmark would be
+// noise-bound here, but the round and grant counts are structural.
 func TestFederationRoundsBudget(t *testing.T) {
-	data, err := os.ReadFile("BENCH_federation.json")
-	if err != nil {
-		t.Fatalf("missing committed federation benchmark reference: %v", err)
-	}
-	var doc struct {
-		Benchmarks []struct {
-			Name    string             `json:"name"`
-			Metrics map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var refRounds, refGrants float64
-	for _, b := range doc.Benchmarks {
-		if b.Name == "FederationScaling/gomaxprocs-1/partitions-4" {
-			refRounds = b.Metrics["sync-rounds/op"]
-			refGrants = b.Metrics["grants/op"]
-		}
-	}
-	if refRounds == 0 || refGrants == 0 {
-		t.Fatal("BENCH_federation.json lacks the gomaxprocs-1/partitions-4 reference entry")
-	}
-
-	// The exact workload of BenchmarkFederationScaling / -bench-fed-json.
-	cfg := exp.DefaultMeshConfig(16)
-	cfg.Rounds = 10
-	cfg.NoiseEvents = 3000
-	cfg.NoiseInterval = 20 * logical.Microsecond
-	cfg.LinkLatency = 2 * logical.Millisecond
-	res, err := exp.RunMesh(1, cfg, 4)
+	res, err := exp.RunMesh(1, federationScalingConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := float64(res.CoordRounds); got > refRounds*1.25 {
-		t.Errorf("sync rounds at 4 partitions regressed: %v > committed %v +25%%", got, refRounds)
+	if got := float64(res.CoordRounds); got > refFedSyncRounds*1.25 {
+		t.Errorf("sync rounds at 4 partitions regressed: %v > reference %v +25%%", got, refFedSyncRounds)
 	}
-	if got := float64(res.CoordGrants); got > refGrants*1.25 {
-		t.Errorf("grant count at 4 partitions regressed: %v > committed %v +25%%", got, refGrants)
+	if got := float64(res.CoordGrants); got > refFedGrants*1.25 {
+		t.Errorf("grant count at 4 partitions regressed: %v > reference %v +25%%", got, refFedGrants)
 	}
 }
 
 // TestFederationAllocBudget is the allocation regression gate of the
 // kernel hot-path work: it re-runs the FederationScaling workload at 4
 // partitions and fails if heap allocations per fired event exceed the
-// committed BENCH_federation.json reference (gomaxprocs-1/partitions-4,
-// allocsPerOp over events/op) by more than 25%. Allocation counts are
-// not byte-exact across runs — goroutine scheduling shifts amortized
-// growth — but a pooled-event kernel sits far enough below the closure-
-// per-event one (~3x) that 25% headroom separates noise from regression.
+// reference (refFedAllocs over refFedEvents) by more than 25%.
+// Allocation counts are not byte-exact across runs — goroutine
+// scheduling shifts amortized growth — but a pooled-event kernel sits
+// far enough below the closure-per-event one (~3x) that 25% headroom
+// separates noise from regression.
 func TestFederationAllocBudget(t *testing.T) {
-	data, err := os.ReadFile("BENCH_federation.json")
-	if err != nil {
-		t.Fatalf("missing committed federation benchmark reference: %v", err)
-	}
-	var doc struct {
-		Benchmarks []struct {
-			Name        string             `json:"name"`
-			AllocsPerOp int64              `json:"allocsPerOp"`
-			Metrics     map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var refAllocsPerEvent float64
-	for _, b := range doc.Benchmarks {
-		if b.Name == "FederationScaling/gomaxprocs-1/partitions-4" {
-			if ev := b.Metrics["events/op"]; ev > 0 {
-				refAllocsPerEvent = float64(b.AllocsPerOp) / ev
-			}
-		}
-	}
-	if refAllocsPerEvent == 0 {
-		t.Fatal("BENCH_federation.json lacks allocsPerOp for the gomaxprocs-1/partitions-4 reference entry")
-	}
-
-	cfg := exp.DefaultMeshConfig(16)
-	cfg.Rounds = 10
-	cfg.NoiseEvents = 3000
-	cfg.NoiseInterval = 20 * logical.Microsecond
-	cfg.LinkLatency = 2 * logical.Millisecond
+	const refAllocsPerEvent = float64(refFedAllocs) / refFedEvents
+	cfg := federationScalingConfig()
 	// Warm-up run: one-time costs (lazily grown pools, map growth) are
 	// not what the per-event budget tracks.
 	if _, err := exp.RunMesh(1, cfg, 4); err != nil {
@@ -121,7 +71,7 @@ func TestFederationAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocsPerEvent := float64(after.Mallocs-before.Mallocs) / float64(res.EventsFired)
 	if allocsPerEvent > refAllocsPerEvent*1.25 {
-		t.Errorf("allocs/event at 4 partitions regressed: %.3f > committed %.3f +25%%",
+		t.Errorf("allocs/event at 4 partitions regressed: %.3f > reference %.3f +25%%",
 			allocsPerEvent, refAllocsPerEvent)
 	}
 }

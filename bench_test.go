@@ -281,6 +281,20 @@ func BenchmarkReactorEventThroughput(b *testing.B) {
 	}
 }
 
+// federationScalingConfig is the E10 federation-scaling workload: a
+// 16-platform mesh, 10 call rounds, 3000 local noise events 20µs apart
+// and 2ms cross links. BenchmarkFederationScaling and the budget gates
+// in bench_guard_test.go all run it, so the gates' references describe
+// the benchmark's workload by construction.
+func federationScalingConfig() exp.MeshConfig {
+	cfg := exp.DefaultMeshConfig(16)
+	cfg.Rounds = 10
+	cfg.NoiseEvents = 3000
+	cfg.NoiseInterval = 20 * logical.Microsecond
+	cfg.LinkLatency = 2 * logical.Millisecond
+	return cfg
+}
+
 // BenchmarkFederationScaling is the E10 scaling study: one iteration =
 // one full N-platform mesh run (identical workload and — asserted —
 // identical report in every variant), executed single-kernel and sharded
@@ -294,12 +308,7 @@ func BenchmarkReactorEventThroughput(b *testing.B) {
 // sound coordinator; the async coordinator's win is that rounds no
 // longer serialize the partitions on a multi-core host.
 func BenchmarkFederationScaling(b *testing.B) {
-	cfg := exp.DefaultMeshConfig(16)
-	cfg.Rounds = 10
-	cfg.NoiseEvents = 3000
-	cfg.NoiseInterval = 20 * logical.Microsecond
-	cfg.LinkLatency = 2 * logical.Millisecond
-
+	cfg := federationScalingConfig()
 	ref, err := exp.RunMesh(1, cfg, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -337,8 +346,8 @@ func BenchmarkFederationScaling(b *testing.B) {
 // along on every iteration. The headline metric is messages/sec/core:
 // delivered datagrams per wall-clock second, normalized by the cores
 // the federation could use — the figure the city-scale acceptance
-// criterion tracks. cmd/experiments -bench-json mirrors this benchmark
-// to emit BENCH_city.json.
+// criterion tracks. The perfbench module's city workload measures the
+// same world end to end, with build, run and verify timed apart.
 func BenchmarkCityScale(b *testing.B) {
 	cfg := exp.CityConfig{Platforms: exp.DefaultCityPlatforms, Rounds: 2, Partitions: 4, Seed: 1}
 	single := cfg

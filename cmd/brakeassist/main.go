@@ -59,19 +59,12 @@ func runBaseline(seed uint64, frames int) {
 
 func runDear(seed uint64, frames int, scale float64, split bool) {
 	cfg := apd.DefaultDeterministicConfig(frames)
-	cfg.DeadlineScale = scale
 	deployment := "single platform (paper)"
 	if split {
-		cfg.SplitPlatforms = true
-		cfg.DriftPPB = 30_000
-		cfg.SyncBound = logical.Millisecond
-		cfg.ClockError = 2500 * logical.Microsecond
-		cfg.VADeadline += 3 * logical.Millisecond
-		cfg.PreDeadline += 3 * logical.Millisecond
-		cfg.CVDeadline += 3 * logical.Millisecond
-		cfg.EBADeadline += 3 * logical.Millisecond
+		cfg = apd.SplitDeterministicConfig(frames)
 		deployment = "split across platforms (E=2.5ms)"
 	}
+	cfg.DeadlineScale = scale
 	d, err := apd.NewDeterministic(seed, cfg)
 	if err != nil {
 		log.Fatalf("brakeassist: %v", err)

@@ -7,7 +7,6 @@
 //	experiments [-quick] [-list] [-only <name>] [-scenario <file.json> [-monitors]]
 //	experiments [-quick] -trace <file>
 //	experiments -replay <file>
-//	experiments [-quick] -bench-json <file> [-bench-suite kernel|city|federation|monitor|all]
 //	experiments -fuzz <n> [-seed <s>] [-fuzz-out <dir>]
 //
 // Any workload mode additionally accepts -cpuprofile <file> and
@@ -29,24 +28,15 @@
 // trace to a file; -replay re-executes a recorded trace inside the
 // deterministic simulator and exits nonzero if the replayed outputs
 // diverge from the recorded ones (E13). -trace and -replay are
-// mutually exclusive. -bench-json runs the performance benchmark suites
-// and writes one machine-readable JSON document; -bench-suite narrows
-// the run to a single suite — "kernel" (the des/simnet hot-path
-// microbenchmarks, BENCH_kernel.json), "city" (city scale + trace
-// recording, BENCH_city.json), "federation" (the E10 scaling workload
-// across a GOMAXPROCS x partitions matrix, BENCH_federation.json, which
-// CI gates coordination cost and allocation budgets against),
-// "monitor" (the online-verification hot path and the monitored mesh
-// with its checks/op diagnostic, BENCH_monitor.json), or "all"
-// (the default). -bench-fed-json <file> is a deprecated alias for
-// -bench-json <file> -bench-suite federation. -fuzz runs a seeded
-// offline fuzzing campaign of n generated scenario specs through the
-// determinism property (single-kernel vs federated byte-equality);
-// -seed keys the campaign (default 1) and -fuzz-out selects where the
-// shrunk minimal repro of a divergence is written (default
-// examples/regressions, the ready-to-commit location). All experiments except
-// loopback, replay and the wall-clock benchmark figures are
-// deterministic; those use real UDP sockets and/or wall-clock time.
+// mutually exclusive. -fuzz runs a seeded offline fuzzing campaign of
+// n generated scenario specs through the determinism property
+// (single-kernel vs federated byte-equality); -seed keys the campaign
+// (default 1) and -fuzz-out selects where the shrunk minimal repro of a
+// divergence is written (default examples/regressions, the
+// ready-to-commit location). All experiments except loopback and replay
+// are deterministic; those use real UDP sockets and wall-clock time.
+// Performance is measured by the perfbench module (bash
+// perfbench/run.sh) and the go test benchmarks, not here.
 package main
 
 import (
@@ -61,7 +51,6 @@ import (
 
 	"repro/internal/apd"
 	"repro/internal/exp"
-	"repro/internal/logical"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -80,9 +69,6 @@ func main() {
 	monitors := flag.Bool("monitors", false, "attach the standard online safety monitors to the -scenario run (nonzero exit + trace-prefix dump on violation)")
 	traceFile := flag.String("trace", "", "record a live loopback run and write its trace to this file")
 	replayFile := flag.String("replay", "", "replay a recorded trace file in the simulator and verify outputs")
-	benchJSON := flag.String("bench-json", "", "run the benchmark suites and write machine-readable results to this file")
-	benchSuite := flag.String("bench-suite", "all", "suite for -bench-json: kernel, city, federation or all")
-	benchFedJSON := flag.String("bench-fed-json", "", "deprecated alias for -bench-json <file> -bench-suite federation")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fuzzN := flag.Int("fuzz", 0, "run a seeded fuzzing campaign of this many generated specs through the determinism property")
@@ -180,17 +166,7 @@ func main() {
 		}},
 
 		{"split", "E4 extension: CV+EBA split onto a drifting third platform", func() {
-			cfg := apd.DefaultDeterministicConfig(detFrames)
-			cfg.SplitPlatforms = true
-			cfg.DriftPPB = 30_000
-			cfg.SyncBound = logical.Millisecond
-			cfg.ClockError = 2500 * logical.Microsecond
-			// Deadlines must additionally cover clock-resync jumps (2×bound).
-			cfg.VADeadline += 3 * logical.Millisecond
-			cfg.PreDeadline += 3 * logical.Millisecond
-			cfg.CVDeadline += 3 * logical.Millisecond
-			cfg.EBADeadline += 3 * logical.Millisecond
-			d, err := apd.NewDeterministic(1, cfg)
+			d, err := apd.NewDeterministic(1, apd.SplitDeterministicConfig(detFrames))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -409,42 +385,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *fuzzN > 0 {
-		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" || *benchJSON != "" || *benchFedJSON != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -fuzz replaces the registry and is mutually exclusive with -only, -scenario, -trace, -replay and the bench suites")
+		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" {
+			fmt.Fprintln(os.Stderr, "experiments: -fuzz replaces the registry and is mutually exclusive with -only, -scenario, -trace and -replay")
 			os.Exit(2)
 		}
 		runFuzz(*fuzzN, *fuzzSeed, *fuzzOut)
-		return
-	}
-	if *benchJSON != "" && *benchFedJSON != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -bench-json and its deprecated alias -bench-fed-json are mutually exclusive (use -bench-json with -bench-suite)")
-		os.Exit(2)
-	}
-	if *benchFedJSON != "" && *benchSuite != "all" {
-		fmt.Fprintln(os.Stderr, "experiments: -bench-suite only applies to -bench-json (the -bench-fed-json alias is pinned to the federation suite)")
-		os.Exit(2)
-	}
-	if *benchSuite != "all" && *benchJSON == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -bench-suite requires -bench-json")
-		os.Exit(2)
-	}
-	if *benchJSON != "" || *benchFedJSON != "" {
-		if *only != "" || *scenarioFile != "" || *traceFile != "" || *replayFile != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -bench-json/-bench-fed-json replace the registry and are mutually exclusive with -only, -scenario, -trace and -replay")
-			os.Exit(2)
-		}
-		path, suite := *benchJSON, *benchSuite
-		if *benchFedJSON != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -bench-fed-json is deprecated; use -bench-json <file> -bench-suite federation")
-			path, suite = *benchFedJSON, "federation"
-		}
-		switch suite {
-		case "all", "kernel", "city", "federation", "monitor":
-		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown -bench-suite %q; valid choices: kernel, city, federation, monitor, all\n", suite)
-			os.Exit(2)
-		}
-		runBench(path, *quick, suite)
 		return
 	}
 	if *traceFile != "" {

@@ -79,6 +79,25 @@ func DefaultDeterministicConfig(frames int) DeterministicConfig {
 	}
 }
 
+// SplitDeterministicConfig is DefaultDeterministicConfig with CV and
+// EBA deployed on a third platform whose clock drifts and is only
+// periodically synchronized — full PTIDES coordination with E > 0.
+func SplitDeterministicConfig(frames int) DeterministicConfig {
+	cfg := DefaultDeterministicConfig(frames)
+	cfg.SplitPlatforms = true
+	cfg.DriftPPB = 30_000                       // ±30 ppm oscillators
+	cfg.SyncBound = logical.Millisecond         // per-platform sync error
+	cfg.ClockError = 2500 * logical.Microsecond // E ≥ 2×(bound + drift accrual)
+	// Per the paper, deadlines must account for WCET *and* the
+	// synchronization error: clock resyncs can jump a local clock by up
+	// to 2×SyncBound mid-computation, so each deadline gets that margin.
+	cfg.VADeadline += 3 * logical.Millisecond
+	cfg.PreDeadline += 3 * logical.Millisecond
+	cfg.CVDeadline += 3 * logical.Millisecond
+	cfg.EBADeadline += 3 * logical.Millisecond
+	return cfg
+}
+
 func (c *DeterministicConfig) scaled(d logical.Duration) logical.Duration {
 	if c.DeadlineScale <= 0 {
 		return d

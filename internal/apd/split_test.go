@@ -6,27 +6,8 @@ import (
 	"repro/internal/logical"
 )
 
-// splitConfig deploys CV and EBA on a third platform whose clock drifts
-// and is only periodically synchronized — full PTIDES coordination with
-// E > 0.
-func splitConfig(frames int) DeterministicConfig {
-	cfg := DefaultDeterministicConfig(frames)
-	cfg.SplitPlatforms = true
-	cfg.DriftPPB = 30_000                       // ±30 ppm oscillators
-	cfg.SyncBound = logical.Millisecond         // per-platform sync error
-	cfg.ClockError = 2500 * logical.Microsecond // E ≥ 2×(bound + drift accrual)
-	// Per the paper, deadlines must account for WCET *and* the
-	// synchronization error: clock resyncs can jump a local clock by up
-	// to 2×SyncBound mid-computation, so each deadline gets that margin.
-	cfg.VADeadline += 3 * logical.Millisecond
-	cfg.PreDeadline += 3 * logical.Millisecond
-	cfg.CVDeadline += 3 * logical.Millisecond
-	cfg.EBADeadline += 3 * logical.Millisecond
-	return cfg
-}
-
 func TestSplitPlatformsZeroErrors(t *testing.T) {
-	d, err := NewDeterministic(1, splitConfig(testFrames))
+	d, err := NewDeterministic(1, SplitDeterministicConfig(testFrames))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +28,7 @@ func TestSplitPlatformsBehaviourMatchesSinglePlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	single.Run()
-	split, err := NewDeterministic(3, splitConfig(200))
+	split, err := NewDeterministic(3, SplitDeterministicConfig(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +46,7 @@ func TestSplitPlatformsBehaviourMatchesSinglePlatform(t *testing.T) {
 
 func TestSplitPlatformsBehaviourIdenticalAcrossSeeds(t *testing.T) {
 	run := func(seed uint64) []BrakeCmd {
-		d, err := NewDeterministic(seed, splitConfig(200))
+		d, err := NewDeterministic(seed, SplitDeterministicConfig(200))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +65,7 @@ func TestSplitPlatformsBehaviourIdenticalAcrossSeeds(t *testing.T) {
 }
 
 func TestSplitPlatformsLatencyIncludesClockError(t *testing.T) {
-	d, err := NewDeterministic(1, splitConfig(200))
+	d, err := NewDeterministic(1, SplitDeterministicConfig(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +94,7 @@ func TestSplitPlatformsHonestBoundsAbsorbSkew(t *testing.T) {
 	// cannot make a tag arrive in the receiver's physical past. No
 	// violations — the conservative design tolerates bounded lies as
 	// long as total slack covers them.
-	cfg := splitConfig(200)
+	cfg := SplitDeterministicConfig(200)
 	cfg.ClockError = 10 * logical.Microsecond // lie about E, slack absorbs it
 	d, err := NewDeterministic(2, cfg)
 	if err != nil {
@@ -132,7 +113,7 @@ func TestSplitPlatformsExhaustedSlackDetected(t *testing.T) {
 	// When the total slack (deadline margin + L + E) no longer covers the
 	// real skew and latency, the violated assumption becomes visible as
 	// counted safe-to-process violations — never silent reordering.
-	cfg := splitConfig(400)
+	cfg := SplitDeterministicConfig(400)
 	cfg.DeadlineScale = 0.78                  // deadline ≈ execution time
 	cfg.Latency = 200 * logical.Microsecond   // tight L
 	cfg.ClockError = 10 * logical.Microsecond // tight E, real skew ~2ms

@@ -7,9 +7,8 @@ import (
 )
 
 // The kernel hot-path microbenchmark suite. Each benchmark isolates one
-// of the converted closure-free paths; cmd/experiments mirrors these
-// bodies for the -bench-json kernel suite (BENCH_kernel.json), and the
-// repo-root alloc gates pin the 0 allocs/op claims.
+// of the converted closure-free paths; the repo-root alloc gate
+// (TestTransientPathZeroAlloc) pins the 0 allocs/op claims.
 
 // benchChain is the carrier of the self-rescheduling closure-free chain:
 // the (fn, arg) analogue of BenchmarkKernelScheduleTransient's closure.

@@ -108,16 +108,8 @@ func RunFaultPipeline(seed uint64, frames int) (*FaultPipelineResult, error) {
 	res.Baseline = *b.Run()
 	res.BaselineDecisions = len(b.BrakeSeq)
 
-	dcfg := apd.DefaultDeterministicConfig(frames)
+	dcfg := apd.SplitDeterministicConfig(frames)
 	dcfg.Faults = plan
-	dcfg.SplitPlatforms = true
-	dcfg.DriftPPB = 30_000
-	dcfg.SyncBound = logical.Millisecond
-	dcfg.ClockError = 2500 * logical.Microsecond
-	dcfg.VADeadline += 3 * logical.Millisecond
-	dcfg.PreDeadline += 3 * logical.Millisecond
-	dcfg.CVDeadline += 3 * logical.Millisecond
-	dcfg.EBADeadline += 3 * logical.Millisecond
 	d, err := apd.NewDeterministic(seed, dcfg)
 	if err != nil {
 		return nil, err

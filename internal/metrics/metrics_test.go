@@ -116,6 +116,19 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		}
 		return s.Quantile(qa) <= s.Quantile(qb)+1e-9
 	}
+	// Inputs that once failed: magnitudes beyond the sketch's exponent
+	// range, all of one sign, collapse into an extreme bin.
+	for _, xs := range [][]float64{
+		{1.7215335066192045e+308},
+		{-1.5283387056205643e+307},
+		{-1.0895672104041217e+308, -6.755212851077788e+307},
+	} {
+		for _, ab := range [][2]uint8{{0, 14}, {14, 100}, {0x44, 0x64}, {0x70, 0x64}} {
+			if !f(xs, ab[0], ab[1]) {
+				t.Errorf("quantile not monotone on %v, q from %d and %d", xs, ab[0], ab[1])
+			}
+		}
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}

@@ -200,7 +200,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 			}
 			seen += c
 			if rank < seen {
-				return -sketchMid(bin)
+				return s.clampCollapsed(bin, -sketchMid(bin))
 			}
 		}
 	}
@@ -216,11 +216,25 @@ func (s *Sketch) Quantile(q float64) float64 {
 			}
 			seen += c
 			if rank < seen {
-				return sketchMid(bin)
+				return s.clampCollapsed(bin, sketchMid(bin))
 			}
 		}
 	}
 	return s.max
+}
+
+// clampCollapsed bounds the answer v from bin by the exact min and max
+// when bin is one of the two extreme bins. Those also hold every
+// magnitude the exponent clamp collapsed into them, so their midpoint
+// can lie outside the samples' range (a lone 1e300 sample sits in the
+// bin whose midpoint is ~2^64), which would break monotonicity in q
+// against the exact min and max returned for q ≤ 0 and q ≥ 1. Inner
+// bins answer with the plain midpoint.
+func (s *Sketch) clampCollapsed(bin int, v float64) float64 {
+	if bin != 0 && bin != sketchBins-1 {
+		return v
+	}
+	return math.Min(math.Max(v, s.min), s.max)
 }
 
 // BinWidth returns the width of the bin that the value x falls into —

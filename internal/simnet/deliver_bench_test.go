@@ -10,8 +10,8 @@ import (
 // trip through the network: route, fault verdict, pooled carrier in a
 // pooled kernel event, delivery to a receive callback. The payload is
 // empty so the benchmark isolates the delivery machinery from the
-// caller's payload copy; cmd/experiments mirrors this body for the
-// -bench-json kernel suite. 0 allocs/op in steady state.
+// caller's payload copy. 0 allocs/op in steady state, pinned by the
+// repo-root TestTransientPathZeroAlloc.
 func BenchmarkSimnetDeliver(b *testing.B) {
 	k := des.NewKernel(1)
 	n := NewNetwork(k, Config{})
