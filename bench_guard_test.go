@@ -8,6 +8,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/exp"
 	"repro/internal/logical"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 )
 
@@ -73,6 +74,52 @@ func TestFederationAllocBudget(t *testing.T) {
 	if allocsPerEvent > refAllocsPerEvent*1.25 {
 		t.Errorf("allocs/event at 4 partitions regressed: %.3f > reference %.3f +25%%",
 			allocsPerEvent, refAllocsPerEvent)
+	}
+}
+
+// Reference counts of the call path on a single-kernel city of 500
+// platforms with 2 rounds at seed 1 (cityCallBudgetSpec). The call and
+// event counts are exact: they are the schedule the executor produced
+// when it still spawned a process per request, and the pooled executor
+// must reproduce it event for event. refCityRunAllocs was recorded with
+// go1.24 on linux/amd64 as the heap allocations of World.Run alone (build
+// excluded), the median of five runs of that world after pooling; it was
+// 94 100 before.
+const (
+	refCityCalls     = 3000
+	refCityEvents    = 23500
+	refCityRunAllocs = 47079
+)
+
+func cityCallBudgetSpec() scenario.Spec {
+	return exp.CitySpec(exp.CityConfig{Platforms: 500, Rounds: 2, Partitions: 1, Seed: 1})
+}
+
+// TestCityCallBudget is the structural guard of the ara call path. Events
+// per call must equal the reference exactly, which proves the event
+// schedule is unchanged; heap allocations per call may drift at most 25%
+// above refCityRunAllocs/refCityCalls.
+func TestCityCallBudget(t *testing.T) {
+	w, err := scenario.Build(cityCallBudgetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.Run()
+	runtime.ReadMemStats(&after)
+	calls := 0
+	for _, row := range w.Stats {
+		calls += row.Calls
+	}
+	if calls != refCityCalls || w.EventsFired() != refCityEvents {
+		t.Fatalf("city call path: %d events for %d calls, want exactly %d for %d",
+			w.EventsFired(), calls, refCityEvents, refCityCalls)
+	}
+	const refAllocsPerCall = float64(refCityRunAllocs) / refCityCalls
+	allocsPerCall := float64(after.Mallocs-before.Mallocs) / float64(calls)
+	if allocsPerCall > refAllocsPerCall*1.25 {
+		t.Errorf("allocs/call regressed: %.2f > reference %.2f +25%%", allocsPerCall, refAllocsPerCall)
 	}
 }
 

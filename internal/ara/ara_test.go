@@ -649,28 +649,6 @@ func TestMutexMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	k := des.NewKernel(1)
-	s := NewSemaphore(2)
-	inside, peak := 0, 0
-	for i := 0; i < 5; i++ {
-		k.Spawn("w", func(p *des.Process) {
-			s.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(10)
-			inside--
-			s.Release()
-		})
-	}
-	k.RunAll()
-	if peak != 2 {
-		t.Errorf("peak concurrency = %d, want 2", peak)
-	}
-}
-
 func TestFutureThenAndResolvedFuture(t *testing.T) {
 	k := des.NewKernel(1)
 	fut := NewFuture(k)
@@ -712,6 +690,42 @@ func TestFutureGetTimeout(t *testing.T) {
 	// Late resolve after timeout is harmless.
 	fut.Resolve(Result{Payload: []byte("late")})
 	k.RunAll()
+}
+
+// Waiters wake in arrival order, including when the first one leaves on
+// timeout before a later process arrives.
+func TestFutureWakesWaitersInFIFOOrder(t *testing.T) {
+	k := des.NewKernel(1)
+	fut := NewFuture(k)
+	var woke []string
+	wait := func(name string, timeout logical.Duration) func(p *des.Process) {
+		return func(p *des.Process) {
+			var err error
+			if timeout > 0 {
+				_, err = fut.GetTimeout(p, timeout)
+			} else {
+				_, err = fut.Get(p)
+			}
+			if err == nil {
+				woke = append(woke, name)
+			}
+		}
+	}
+	k.Spawn("a", wait("a", 5))
+	k.Spawn("b", wait("b", 0))
+	k.Spawn("c", wait("c", 100))
+	k.SpawnAt(10, "d", wait("d", 0))
+	k.At(20, func() { fut.Resolve(Result{}) })
+	k.RunAll()
+	want := []string{"b", "c", "d"}
+	if len(woke) != len(want) {
+		t.Fatalf("woke %v, want %v", woke, want)
+	}
+	for i := range want {
+		if woke[i] != want[i] {
+			t.Fatalf("woke %v, want %v", woke, want)
+		}
+	}
 }
 
 func TestExecutorCounters(t *testing.T) {

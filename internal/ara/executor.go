@@ -1,8 +1,6 @@
 package ara
 
 import (
-	"fmt"
-
 	"repro/internal/des"
 	"repro/internal/logical"
 	"repro/internal/someip"
@@ -37,9 +35,14 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // Process returns the simulated worker thread running the handler.
 func (c *Ctx) Process() *des.Process { return c.p }
 
-// task is one unit of work for the executor.
+// task is one unit of work for the executor: fn(c, arg) runs on a
+// worker, with c bound to that worker's process. The (fn, arg) form lets
+// the request path submit its one carrier instead of allocating a capture
+// closure per invocation.
 type task struct {
-	fn func(*Ctx)
+	c   *Ctx
+	fn  func(c *Ctx, arg any)
+	arg any
 }
 
 // ExecConfig configures the executor of a runtime.
@@ -62,19 +65,55 @@ func defaultJitter(r *des.Rand) logical.Duration {
 	return logical.Duration(r.Exp(float64(50 * logical.Microsecond)))
 }
 
-// Executor dispatches tasks onto a pool of simulated worker threads.
+// Where the dispatch state machine waits. Each state mirrors a point
+// where the dispatcher process the executor once ran was unstarted or
+// blocked, and decides which action schedules the next dispatch event.
+const (
+	dispatchWaitTask   = iota // the queue is empty: the next submit schedules dispatch
+	dispatchPending           // a dispatch event is queued
+	dispatchWaitPermit        // the head task waits: the next permit release schedules dispatch
+)
+
+// Executor dispatches tasks onto at most Workers simulated worker
+// threads. It models the AP communication-management default, in which
+// "the runtime maps each invocation to a different thread": each task
+// starts after its own dispatch jitter, at most Workers run at once, and
+// the rest queue in FIFO order.
+//
+// The executor is a small state machine driven by plain kernel events.
+// A dispatch event pops queued tasks while permits remain, draws each
+// one's jitter and schedules its start event at now+jitter; the start
+// event resumes an idle pooled worker process synchronously. Workers are
+// long-lived processes spawned lazily, one per permit, so the number of
+// goroutines is bounded by Workers rather than by the number of requests.
 type Executor struct {
-	k        *des.Kernel
-	rng      *des.Rand
-	cfg      ExecConfig
-	queue    *des.Mailbox[task]
-	mutex    *Mutex
-	started  bool
+	k     *des.Kernel
+	rng   *des.Rand
+	cfg   ExecConfig
+	mutex *Mutex
+	state int
+	// queue[head:] are the tasks waiting for a permit, in FIFO order.
+	// Popping advances head so the backing array is reused once drained.
+	queue []task
+	head  int
+	// idle holds the workers free to take a task. A free permit is an
+	// idle worker or, while fewer than Workers exist, one not yet spawned.
+	idle     []*worker
+	spawned  int
 	inFlight int
 	executed uint64
 }
 
-// NewExecutor creates an executor. Workers spawn on first Submit.
+// worker is one pooled worker thread. While reserved, t is the task its
+// next start event hands it.
+type worker struct {
+	e *Executor
+	p *des.Process
+	t task
+}
+
+// NewExecutor creates an executor. Workers spawn on demand, when a task
+// is dispatched and no idle worker is left.
 func NewExecutor(k *des.Kernel, rng *des.Rand, cfg ExecConfig) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -86,7 +125,6 @@ func NewExecutor(k *des.Kernel, rng *des.Rand, cfg ExecConfig) *Executor {
 		k:     k,
 		rng:   rng,
 		cfg:   cfg,
-		queue: des.NewMailbox[task](k, "executor"),
 		mutex: NewMutex(),
 	}
 }
@@ -97,54 +135,113 @@ func (e *Executor) Executed() uint64 { return e.executed }
 // InFlight reports tasks submitted but not yet completed.
 func (e *Executor) InFlight() int { return e.inFlight }
 
-func (e *Executor) start() {
-	if e.started {
-		return
-	}
-	e.started = true
-	// A dispatcher hands each queued task to a fresh logical thread
-	// context: per the AP communication-management default, "the runtime
-	// maps each invocation to a different thread". Concurrency is capped
-	// by Workers via a counting semaphore.
-	sem := NewSemaphore(e.cfg.Workers)
-	e.k.Spawn("executor.dispatch", func(p *des.Process) {
-		seq := 0
-		for {
-			t := e.queue.Recv(p)
-			sem.Acquire(p)
-			seq++
-			jitter := e.cfg.DispatchJitter(e.rng)
-			e.k.SpawnAt(p.Now().Add(jitter), fmt.Sprintf("worker.%d", seq), func(wp *des.Process) {
-				defer sem.Release()
-				if e.cfg.Serialized {
-					e.mutex.Lock(wp)
-					defer e.mutex.Unlock()
-				}
-				t.fn(&Ctx{p: wp})
-				e.executed++
-				e.inFlight--
-			})
-		}
-	})
-}
-
 // Submit schedules fn to run on a worker thread after the dispatch jitter.
-// The ctx passed to fn carries a nil runtime unless SubmitRT is used.
+// The ctx passed to fn carries no runtime (Ctx.Runtime returns nil);
+// only the runtime's own request and notification tasks are bound to it.
 func (e *Executor) Submit(fn func(*Ctx)) {
-	e.submit(nil, fn)
+	e.submit(task{c: &Ctx{}, fn: runFunc, arg: fn})
 }
 
-func (e *Executor) submit(rt *Runtime, fn func(*Ctx)) {
-	e.start()
+// runFunc is the task body of a Submit: arg is the submitted function.
+func runFunc(c *Ctx, arg any) { arg.(func(*Ctx))(c) }
+
+func (e *Executor) submit(t task) {
 	e.inFlight++
-	e.queue.Put(task{fn: func(c *Ctx) {
-		c.rt = rt
-		fn(c)
-	}})
+	e.queue = append(e.queue, t)
+	if e.state == dispatchWaitTask {
+		e.scheduleDispatch()
+	}
 }
 
-// Mutex is a mutual-exclusion lock for simulated processes with FIFO
-// hand-off.
+func (e *Executor) scheduleDispatch() {
+	e.state = dispatchPending
+	e.k.AtTransientFn(e.k.Now(), dispatchFn, e)
+}
+
+// dispatchFn is the dispatch event: it hands queued tasks to free
+// permits in FIFO order, drawing each task's jitter as it goes, and
+// records what it stopped on.
+func dispatchFn(a any) {
+	e := a.(*Executor)
+	for {
+		if e.head == len(e.queue) {
+			e.queue = e.queue[:0]
+			e.head = 0
+			e.state = dispatchWaitTask
+			return
+		}
+		w := e.reserve()
+		if w == nil {
+			e.state = dispatchWaitPermit
+			return
+		}
+		w.t = e.queue[e.head]
+		e.queue[e.head] = task{}
+		e.head++
+		jitter := e.cfg.DispatchJitter(e.rng)
+		e.k.AtTransientFn(e.k.Now().Add(jitter), startFn, w)
+	}
+}
+
+// reserve takes a permit: an idle worker, a freshly spawned one while
+// fewer than Workers exist, or nil when all are busy.
+func (e *Executor) reserve() *worker {
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return w
+	}
+	if e.spawned == e.cfg.Workers {
+		return nil
+	}
+	e.spawned++
+	w := &worker{e: e}
+	w.p = e.k.SpawnParked("executor.worker", w.run)
+	return w
+}
+
+// release returns a worker's permit, waking the dispatcher if the head
+// task was waiting for one.
+func (e *Executor) release(w *worker) {
+	e.idle = append(e.idle, w)
+	if e.state == dispatchWaitPermit {
+		e.scheduleDispatch()
+	}
+}
+
+// startFn is a task's start event: it resumes the reserved worker, which
+// runs the task until it blocks or completes.
+func startFn(a any) { a.(*worker).p.Resume() }
+
+// run is the body of a pooled worker process: one task per Resume.
+func (w *worker) run(p *des.Process) {
+	e := w.e
+	for {
+		t := w.t
+		w.t = task{}
+		if e.cfg.Serialized {
+			e.mutex.Lock(p)
+		}
+		t.c.p = p
+		t.fn(t.c, t.arg)
+		e.executed++
+		e.inFlight--
+		if e.cfg.Serialized {
+			e.mutex.Unlock()
+		}
+		e.release(w)
+		p.Suspend()
+	}
+}
+
+// Mutex is a mutual-exclusion lock for simulated processes. Waiters
+// queue in FIFO order, but Unlock does not hand the lock over: it only
+// schedules the first waiter's wake at the current instant. Any process
+// that runs earlier at that instant — the unlocker re-locking, or one
+// whose event is already queued — takes the lock first, and the woken
+// waiter then queues again at the back. The E1 (Figure 1) distribution
+// depends on this barging.
 type Mutex struct {
 	locked  bool
 	waiters []*des.Process
@@ -162,7 +259,8 @@ func (m *Mutex) Lock(p *des.Process) {
 	m.locked = true
 }
 
-// Unlock releases the mutex and wakes the first waiter.
+// Unlock releases the mutex and schedules the first waiter's wake (see
+// Mutex: the waiter is not guaranteed the lock).
 func (m *Mutex) Unlock() {
 	if !m.locked {
 		panic("ara: Unlock of unlocked Mutex")
@@ -177,34 +275,3 @@ func (m *Mutex) Unlock() {
 
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.locked }
-
-// Semaphore is a counting semaphore for simulated processes.
-type Semaphore struct {
-	avail   int
-	waiters []*des.Process
-}
-
-// NewSemaphore returns a semaphore with n permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Acquire takes a permit, blocking while none is available.
-func (s *Semaphore) Acquire(p *des.Process) {
-	for s.avail == 0 {
-		s.waiters = append(s.waiters, p)
-		p.Park()
-	}
-	s.avail--
-}
-
-// Release returns a permit and wakes the first waiter.
-func (s *Semaphore) Release() {
-	s.avail++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.Unpark()
-	}
-}
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }

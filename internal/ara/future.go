@@ -38,10 +38,15 @@ type Result struct {
 // Future is the asynchronous result of a method call, mirroring
 // ara::core::Future. It resolves at most once.
 type Future struct {
-	k       *des.Kernel
-	done    bool
-	result  Result
-	cbs     []func(Result)
+	k      *des.Kernel
+	done   bool
+	result Result
+	cbs    []func(Result)
+	// waiter and waiters hold the processes blocked in Get/GetTimeout,
+	// in FIFO order: waiter (when set) first, then waiters. The common
+	// single waiter needs no slice; waiter is filled only while waiters
+	// is empty, so a later arrival never jumps the queue.
+	waiter  *des.Process
 	waiters []*des.Process
 }
 
@@ -74,10 +79,37 @@ func (f *Future) Resolve(r Result) {
 	if len(f.cbs) > 0 {
 		f.k.AfterTransientFn(0, fireCallbacks, f)
 	}
+	if f.waiter != nil {
+		f.waiter.Unpark()
+		f.waiter = nil
+	}
 	for _, w := range f.waiters {
 		w.Unpark()
 	}
 	f.waiters = nil
+}
+
+// addWaiter queues p behind the processes already blocked on f.
+func (f *Future) addWaiter(p *des.Process) {
+	if f.waiter == nil && len(f.waiters) == 0 {
+		f.waiter = p
+		return
+	}
+	f.waiters = append(f.waiters, p)
+}
+
+// removeWaiter drops the first queued occurrence of p, if any.
+func (f *Future) removeWaiter(p *des.Process) {
+	if f.waiter == p {
+		f.waiter = nil
+		return
+	}
+	for i, w := range f.waiters {
+		if w == p {
+			f.waiters = append(f.waiters[:i:i], f.waiters[i+1:]...)
+			return
+		}
+	}
 }
 
 // fireCallbacks is the package-level delivery body of the resolution
@@ -109,7 +141,7 @@ func (f *Future) Then(cb func(Result)) {
 // Figure 1 of the paper.
 func (f *Future) Get(p *des.Process) ([]byte, error) {
 	for !f.done {
-		f.waiters = append(f.waiters, p)
+		f.addWaiter(p)
 		p.Park()
 	}
 	return f.result.Payload, f.result.Err
@@ -122,17 +154,12 @@ func (f *Future) GetTimeout(p *des.Process, d logical.Duration) ([]byte, error) 
 		if p.Now() >= deadline {
 			return nil, ErrTimeout
 		}
-		f.waiters = append(f.waiters, p)
+		f.addWaiter(p)
 		ev := f.k.At(deadline, func() { p.Unpark() })
 		p.Park()
 		ev.Cancel()
 		// Drop ourselves from waiters if still present (timeout path).
-		for i, w := range f.waiters {
-			if w == p {
-				f.waiters = append(f.waiters[:i:i], f.waiters[i+1:]...)
-				break
-			}
-		}
+		f.removeWaiter(p)
 	}
 	return f.result.Payload, f.result.Err
 }

@@ -272,29 +272,69 @@ func (rt *Runtime) handleRequest(src someip.Addr, m *someip.Message) {
 		rt.reply(src, m, nil, someip.EUnknownMethod)
 		return
 	}
-	req := *m
 	// Each invocation is dispatched to a worker thread; ordering is up to
-	// the (simulated) scheduler.
-	rt.exec.submit(rt, func(c *Ctx) {
-		c.msg = &req
-		fut := h(c, req.Payload)
-		if req.Type == someip.TypeRequestNoReturn {
+	// the (simulated) scheduler. One carrier holds everything the
+	// invocation and its reply need.
+	r := &request{src: src, req: *m, h: h}
+	r.ctx.rt = rt
+	r.ctx.msg = &r.req
+	rt.exec.submit(task{c: &r.ctx, fn: runRequest, arg: r})
+}
+
+// request carries one method invocation from dispatch to reply: the
+// handler's context, a copy of the request, its source, the handler, the
+// result once the handler produced it, and the response message.
+type request struct {
+	ctx   Ctx
+	src   someip.Addr
+	req   someip.Message
+	h     methodHandler
+	res   Result
+	reply someip.Message
+}
+
+// runRequest is the executor task of a method invocation.
+func runRequest(c *Ctx, arg any) {
+	r := arg.(*request)
+	if r.h.sync != nil {
+		payload, err := r.h.sync(c, r.req.Payload)
+		if r.req.Type == someip.TypeRequestNoReturn {
 			return
 		}
-		fut.Then(func(r Result) {
-			code := someip.EOK
-			payload := r.Payload
-			if r.Err != nil {
-				if re, ok := r.Err.(*RemoteError); ok {
-					code = re.Code
-				} else {
-					code = someip.ENotOK
-				}
-				payload = nil
-			}
-			rt.replyTagged(src, &req, payload, code, r.Tag)
-		})
+		// The reply leaves in its own event at the current instant, as
+		// it would from a callback on an already-resolved future.
+		r.res = Result{Payload: payload, Err: err}
+		c.rt.k.AfterTransientFn(0, replyFn, r)
+		return
+	}
+	fut := r.h.async(c, r.req.Payload)
+	if r.req.Type == someip.TypeRequestNoReturn {
+		return
+	}
+	fut.Then(func(res Result) {
+		r.res = res
+		r.send()
 	})
+}
+
+// replyFn is the reply event of a synchronous handler.
+func replyFn(arg any) { arg.(*request).send() }
+
+// send transmits the response to the request, mapping an error result to
+// its SOME/IP return code.
+func (r *request) send() {
+	code := someip.EOK
+	payload := r.res.Payload
+	if r.res.Err != nil {
+		if re, ok := r.res.Err.(*RemoteError); ok {
+			code = re.Code
+		} else {
+			code = someip.ENotOK
+		}
+		payload = nil
+	}
+	r.reply = responseTo(&r.req, payload, code, r.res.Tag)
+	r.ctx.rt.send(r.src, &r.reply)
 }
 
 func (rt *Runtime) reply(dst someip.Addr, req *someip.Message, payload []byte, code someip.ReturnCode) {
@@ -305,11 +345,17 @@ func (rt *Runtime) reply(dst someip.Addr, req *someip.Message, payload []byte, c
 // binding's tag trailer (the DEAR server method transactor resolves its
 // future with the response tag ts+Ds).
 func (rt *Runtime) replyTagged(dst someip.Addr, req *someip.Message, payload []byte, code someip.ReturnCode, tag *logical.Tag) {
+	m := responseTo(req, payload, code, tag)
+	rt.send(dst, &m)
+}
+
+// responseTo builds the response (or error) message answering req.
+func responseTo(req *someip.Message, payload []byte, code someip.ReturnCode, tag *logical.Tag) someip.Message {
 	typ := someip.TypeResponse
 	if code != someip.EOK {
 		typ = someip.TypeError
 	}
-	rt.send(dst, &someip.Message{
+	return someip.Message{
 		Service:          req.Service,
 		Method:           req.Method,
 		Client:           req.Client,
@@ -319,7 +365,7 @@ func (rt *Runtime) replyTagged(dst someip.Addr, req *someip.Message, payload []b
 		Code:             code,
 		Payload:          payload,
 		Tag:              tag,
-	})
+	}
 }
 
 func (rt *Runtime) handleResponse(m *someip.Message) {
@@ -336,16 +382,26 @@ func (rt *Runtime) handleResponse(m *someip.Message) {
 }
 
 func (rt *Runtime) handleNotification(m *someip.Message) {
-	handlers := rt.eventSubs[eventKey{m.Service, m.Method}]
-	msg := *m
-	payload := m.Payload
-	for _, h := range handlers {
-		h := h
-		rt.exec.submit(rt, func(c *Ctx) {
-			c.msg = &msg
-			h(c, payload)
-		})
+	for _, h := range rt.eventSubs[eventKey{m.Service, m.Method}] {
+		n := &notification{msg: *m, h: h}
+		n.ctx.rt = rt
+		n.ctx.msg = &n.msg
+		rt.exec.submit(task{c: &n.ctx, fn: runNotification, arg: n})
 	}
+}
+
+// notification carries one event delivery to one subscribed handler: the
+// handler's context, a copy of the notification and the handler.
+type notification struct {
+	ctx Ctx
+	msg someip.Message
+	h   func(*Ctx, []byte)
+}
+
+// runNotification is the executor task of an event delivery.
+func runNotification(c *Ctx, arg any) {
+	n := arg.(*notification)
+	n.h(c, n.msg.Payload)
 }
 
 // Spawn starts an application process belonging to this runtime.

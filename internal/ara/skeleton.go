@@ -27,7 +27,7 @@ type Skeleton struct {
 	rt       *Runtime
 	iface    *ServiceInterface
 	key      someip.ServiceKey
-	handlers map[someip.MethodID]AsyncHandler
+	handlers map[someip.MethodID]methodHandler
 	fields   map[string]*FieldServer
 	offered  bool
 }
@@ -45,7 +45,7 @@ func (rt *Runtime) NewSkeleton(si *ServiceInterface, instance someip.InstanceID)
 		rt:       rt,
 		iface:    si,
 		key:      someip.ServiceKey{Service: si.ID, Instance: instance},
-		handlers: map[someip.MethodID]AsyncHandler{},
+		handlers: map[someip.MethodID]methodHandler{},
 		fields:   map[string]*FieldServer{},
 	}
 	rt.skeletons[si.ID] = sk
@@ -84,16 +84,21 @@ func (sk *Skeleton) HandleAsync(method string, h AsyncHandler) error {
 // HandleID installs a synchronous handler by wire ID (used by generated
 // field accessors and transactors).
 func (sk *Skeleton) HandleID(id someip.MethodID, h Handler) {
-	sk.handlers[id] = func(c *Ctx, args []byte) *Future {
-		payload, err := h(c, args)
-		return ResolvedFuture(sk.rt.k, Result{Payload: payload, Err: err})
-	}
+	sk.handlers[id] = methodHandler{sync: h}
 }
 
 // HandleIDAsync installs a future-returning handler by wire ID. The
 // response message is sent when the future resolves.
 func (sk *Skeleton) HandleIDAsync(id someip.MethodID, h AsyncHandler) {
-	sk.handlers[id] = h
+	sk.handlers[id] = methodHandler{async: h}
+}
+
+// methodHandler is one installed method implementation: exactly one of
+// sync and async is set. Keeping the synchronous form lets the request
+// path reply directly, without wrapping the result in a resolved future.
+type methodHandler struct {
+	sync  Handler
+	async AsyncHandler
 }
 
 // Offer makes the service available and, on runtimes with an SD agent,

@@ -698,14 +698,15 @@ func (k *Kernel) RunLive(until logical.Time) logical.Time {
 	return k.now
 }
 
-// Shutdown unblocks every parked or sleeping process with a termination
-// signal so that their goroutines unwind and exit. It must be called after
-// Run returns if processes may still be blocked; otherwise their goroutines
-// leak. User process code must not swallow panics of type Killed.
+// Shutdown unblocks every parked, sleeping, suspended or not yet started
+// process with a termination signal so that their goroutines unwind and
+// exit. It must be called after Run returns if processes may still be
+// blocked; otherwise their goroutines leak. User process code must not
+// swallow panics of type Killed.
 func (k *Kernel) Shutdown() {
 	k.shutdown = true
 	for _, p := range k.procs {
-		if p.state == procBlocked || p.state == procSleeping {
+		if p.state == procBlocked || p.state == procSleeping || p.state == procSuspended || p.state == procNew {
 			p.kill()
 		}
 	}

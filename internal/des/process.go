@@ -12,8 +12,9 @@ const (
 	procNew procState = iota
 	procRunnable
 	procRunning
-	procSleeping // blocked with a scheduled wake event
-	procBlocked  // parked, waiting for an explicit Unpark
+	procSleeping  // blocked with a scheduled wake event
+	procBlocked   // parked, waiting for an explicit Unpark
+	procSuspended // suspended, waiting for Resume (immune to Unpark/Interrupt)
 	procDone
 )
 
@@ -92,6 +93,21 @@ func (k *Kernel) SpawnAt(t logical.Time, name string, body func(p *Process)) *Pr
 }
 
 func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), local bool) *Process {
+	p := k.SpawnParked(name, body)
+	e := k.scheduleReuse(t, false, p.wakeFn, true)
+	if local {
+		e.local = true
+	}
+	return p
+}
+
+// SpawnParked creates a process whose body does not start until the
+// first Resume. Unlike Spawn it schedules no event: the process is
+// driven entirely by its owner's Resume calls, which is how a pool of
+// long-lived worker processes takes work without an extra kernel event
+// per hand-off. The process is registered with the kernel, so Shutdown
+// terminates it like any other.
+func (k *Kernel) SpawnParked(name string, body func(p *Process)) *Process {
 	// The baton channels have capacity 1: strict alternation guarantees
 	// at most one signal is ever in flight per direction, so a buffered
 	// send completes without parking the sender — one goroutine handoff
@@ -132,10 +148,6 @@ func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), loc
 		}()
 		body(p)
 	}()
-	e := k.scheduleReuse(t, false, p.wakeFn, true)
-	if local {
-		e.local = true
-	}
 	return p
 }
 
@@ -267,6 +279,27 @@ func unparkFn(a any) {
 	p := a.(*Process)
 	if p.state != procBlocked {
 		return
+	}
+	p.dispatch(resumeSignal{})
+}
+
+// Suspend blocks the process until Resume. Unlike Park it ignores
+// Unpark and Interrupt: a suspended process is woken only by its owner,
+// so a stale wake addressed to an earlier activity of the process (a
+// timed-out future's late Unpark, say) cannot resume it.
+func (p *Process) Suspend() {
+	p.block(procSuspended)
+}
+
+// Resume runs a process created by SpawnParked, or one blocked in
+// Suspend, synchronously: it hands the process the baton and returns
+// once the process blocks again or finishes. No event is scheduled, so
+// the resumption happens inside the currently firing event at its
+// position in the (time, seq) order. Resume must be called only from
+// kernel context (inside a firing event), never from a process body.
+func (p *Process) Resume() {
+	if p.state != procNew && p.state != procSuspended {
+		panic("des: Resume of a process that is neither new nor suspended: " + p.name)
 	}
 	p.dispatch(resumeSignal{})
 }

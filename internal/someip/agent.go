@@ -229,9 +229,20 @@ func (a *Agent) announce(off *localOffer, dst Addr) {
 }
 
 // announceTopic multicasts the current offer on the key's consumer
-// topic, reaching exactly the agents that declared interest.
+// topic, reaching exactly the agents that declared interest. With no
+// interested agent (clients on static proxies, say) nobody receives the
+// offer, so it is not encoded; the send still takes a session ID and
+// still counts toward the control plane, keeping both identical to an
+// encoded send.
 func (a *Agent) announceTopic(off *localOffer) {
-	a.sendTopic(consumerTopic(off.key), []Entry{a.offerEntry(off, a.ttlSeconds())})
+	topic := consumerTopic(off.key)
+	ep := a.conn.Endpoint()
+	if ep.Host().Net().TopicMembers(a.group, topic) == 0 {
+		a.nextSession()
+		ep.SendTopic(a.group, topic, nil)
+		return
+	}
+	a.sendTopic(topic, []Entry{a.offerEntry(off, a.ttlSeconds())})
 }
 
 func (a *Agent) scheduleCyclic(off *localOffer) {

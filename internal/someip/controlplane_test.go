@@ -69,3 +69,37 @@ func TestSDControlPlaneSubQuadratic(t *testing.T) {
 		t.Errorf("fan-out %d at n=%d is still all-pairs scale", f2, n2)
 	}
 }
+
+// An offer nobody declared interest in is not encoded, yet it still
+// takes a session ID and counts as a control-plane send, so session IDs
+// and the ctrlSends diagnostics match an encoded send.
+func TestOfferWithoutInterestSkipsEncoding(t *testing.T) {
+	f := newSDFixture(t)
+	appEp := f.h1.MustBind(40000)
+	f.k.At(0, func() { f.a1.Offer(testKey, 1, 0, appEp.Addr()) })
+	f.k.Run(logical.Time(logical.Millisecond))
+	if sends, fanout := f.net.ControlPlane(); sends != 1 || fanout != 0 {
+		t.Fatalf("after an unheard offer: ctrl sends=%d fanout=%d, want 1 and 0", sends, fanout)
+	}
+	if f.a1.session != 1 {
+		t.Fatalf("session after an unheard offer = %d, want 1", f.a1.session)
+	}
+	off := f.a1.offers[testKey]
+	if avg := testing.AllocsPerRun(10, func() { f.a1.announceTopic(off) }); avg != 0 {
+		t.Errorf("unheard offer allocates %.1f per send, want 0 (not encoded)", avg)
+	}
+	// 1 + 11 unheard sends so far; the next, heard one is session 13.
+	f.a2.Interest(testKey)
+	// Cyclic offers are daemon events; a plain event keeps Run going.
+	f.k.At(logical.Time(1500*logical.Millisecond), func() {})
+	f.k.Run(logical.Time(1500 * logical.Millisecond))
+	if _, ok := f.a2.Lookup(testKey); !ok {
+		t.Fatal("cyclic offer not received after Interest")
+	}
+	if f.a1.session != 13 {
+		t.Errorf("session after the heard cyclic offer = %d, want 13", f.a1.session)
+	}
+	if sends, fanout := f.net.ControlPlane(); sends != 13 || fanout != 1 {
+		t.Errorf("ctrl sends=%d fanout=%d, want 13 and 1", sends, fanout)
+	}
+}
