@@ -3,6 +3,7 @@ package dear_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/ara"
 	"repro/internal/des"
@@ -120,6 +121,86 @@ func TestCityCallBudget(t *testing.T) {
 	allocsPerCall := float64(after.Mallocs-before.Mallocs) / float64(calls)
 	if allocsPerCall > refAllocsPerCall*1.25 {
 		t.Errorf("allocs/call regressed: %.2f > reference %.2f +25%%", allocsPerCall, refAllocsPerCall)
+	}
+}
+
+// Reference counts of the federation-scaling workload
+// (federationScalingConfig) on a single kernel at seed 1: 16 platforms,
+// each sending 3 000 local noise datagrams. The event count is exact: it
+// is the schedule the noise generator produced as one process per
+// platform, and the event-chain generator must reproduce it event for
+// event. refMeshNoiseRunAllocs was recorded with go1.24 on linux/amd64
+// as the heap allocations of World.Run alone (build excluded), the
+// median of five runs of the event-chain generator; the process form
+// read the same (54 184), since its wake events were already recycled.
+// About 48 000 of them are the payload copies of Endpoint.Send, one per
+// noise datagram.
+const (
+	refMeshNoiseSends     = 16 * 3000
+	refMeshNoiseEvents    = 99584
+	refMeshNoiseRunAllocs = 54182
+)
+
+// settledGoroutines returns the goroutine count once it has stopped
+// changing, so that goroutines of earlier tests still unwinding do not
+// leak into a before/after difference.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 3; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
+// buildGoroutines builds spec and returns the world with the number of
+// goroutines its construction started.
+func buildGoroutines(t *testing.T, spec scenario.Spec) (*scenario.World, int) {
+	t.Helper()
+	base := settledGoroutines()
+	w, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, runtime.NumGoroutine() - base
+}
+
+// TestMeshNoiseBudget is the structural guard of the local load
+// generator. The single-kernel mesh must fire exactly refMeshNoiseEvents
+// events; building it must start no more goroutines than the same world
+// without noise; and World.Run's heap allocations per noise send may
+// drift at most 25% above refMeshNoiseRunAllocs/refMeshNoiseSends.
+func TestMeshNoiseBudget(t *testing.T) {
+	spec := federationScalingConfig()
+	spec.Seed, spec.Partitions = 1, 1
+	quiet := spec
+	quiet.NoiseEvents, quiet.NoiseInterval = 0, 0
+
+	qw, quietG := buildGoroutines(t, quiet)
+	qw.Run()
+	w, noisyG := buildGoroutines(t, spec)
+	if noisyG != quietG {
+		t.Errorf("building the mesh started %d goroutines with %d noise events per platform, %d without",
+			noisyG, spec.NoiseEvents, quietG)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.Run()
+	runtime.ReadMemStats(&after)
+	sends := spec.Platforms * spec.NoiseEvents
+	if sends != refMeshNoiseSends || w.EventsFired() != refMeshNoiseEvents {
+		t.Fatalf("mesh noise: %d events for %d noise sends, want exactly %d for %d",
+			w.EventsFired(), sends, refMeshNoiseEvents, refMeshNoiseSends)
+	}
+	const refAllocsPerSend = float64(refMeshNoiseRunAllocs) / refMeshNoiseSends
+	allocsPerSend := float64(after.Mallocs-before.Mallocs) / float64(sends)
+	if allocsPerSend > refAllocsPerSend*1.25 {
+		t.Errorf("allocs/noise send regressed: %.3f > reference %.3f +25%%", allocsPerSend, refAllocsPerSend)
 	}
 }
 

@@ -251,7 +251,7 @@ func (c *Channel) SendFn(at logical.Time, fn func(arg any), arg any) {
 	sender := c.fed.kernels[c.from]
 	if sender.firingLocal {
 		panic(fmt.Sprintf(
-			"des: federation channel %d->%d: send from a local-marked event (SpawnLocal promises never to emit; see Event.local)",
+			"des: federation channel %d->%d: send from a local-marked event (AtLocalFn promises never to emit; see Event.local)",
 			c.from, c.to))
 	}
 	if at < sender.now.Add(c.lookahead) {

@@ -53,8 +53,8 @@ type Event struct {
 	// at run time. The federation coordinator skips local events when
 	// computing a partition's earliest-output-time bound (NextEmitTime),
 	// which is what lets partitions free-run through dense local-only
-	// phases. Events become local by being scheduled from a local event
-	// or from a process started with SpawnLocal.
+	// phases. Events become local by being scheduled with AtLocalFn or
+	// from a local event.
 	local bool
 	index int // heap index, -1 once popped
 	// emitIndex is the event's position in the kernel's emit shadow heap
@@ -447,18 +447,32 @@ func (k *Kernel) AfterTransient(d logical.Duration, fn func()) {
 // every converted hot path: datagram delivery, mailbox timed puts, future
 // resolution, process wakeups and federation batch injection.
 func (k *Kernel) AtTransientFn(t logical.Time, fn func(arg any), arg any) {
-	k.scheduleFn(t, fn, arg)
+	k.scheduleFn(t, fn, arg, k.firingLocal)
 }
 
 // AfterTransientFn schedules fn(arg) to run d from now as a transient
 // event (see AtTransientFn).
 func (k *Kernel) AfterTransientFn(d logical.Duration, fn func(arg any), arg any) {
-	k.scheduleFn(k.now.Add(d), fn, arg)
+	k.scheduleFn(k.now.Add(d), fn, arg, k.firingLocal)
+}
+
+// AtLocalFn schedules fn(arg) at time t like AtTransientFn, and marks the
+// event local: it declares that fn, and everything it transitively
+// schedules, never emits onto a federation channel. The declaration is
+// enforced: Channel.Send panics while any of the chain's events fire,
+// and every event they schedule inherits the mark (see Event.local). In
+// exchange, a federated kernel excludes the chain from its
+// earliest-output-time bound (NextEmitTime), so dense local-only
+// activity — load generators, intra-platform traffic — stops throttling
+// downstream partitions' grant windows. A self-rescheduling fn started
+// here is a complete local process without a goroutine.
+func (k *Kernel) AtLocalFn(t logical.Time, fn func(arg any), arg any) {
+	k.scheduleFn(t, fn, arg, true)
 }
 
 // scheduleFn is the closure-free scheduling hot path: like scheduleReuse
 // with transient=true but carrying a (fn, arg) pair instead of a closure.
-func (k *Kernel) scheduleFn(t logical.Time, fn func(arg any), arg any) {
+func (k *Kernel) scheduleFn(t logical.Time, fn func(arg any), arg any, local bool) {
 	if t < k.now {
 		t = k.now
 	}
@@ -468,9 +482,9 @@ func (k *Kernel) scheduleFn(t logical.Time, fn func(arg any), arg any) {
 		e = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		*e = Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, transient: true, local: k.firingLocal}
+		*e = Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, transient: true, local: local}
 	} else {
-		e = &Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, transient: true, local: k.firingLocal}
+		e = &Event{k: k, at: t, seq: k.seq, fn: fn, arg: arg, transient: true, local: local}
 	}
 	k.enqueue(e)
 	k.pending++

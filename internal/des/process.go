@@ -68,36 +68,10 @@ func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
 	return k.SpawnAt(k.now, name, body)
 }
 
-// SpawnLocal creates a process like Spawn, with the additional
-// declaration that the process — and everything it transitively
-// schedules — never emits onto a federation channel. The declaration is
-// enforced: Channel.Send panics if called while any of the process's
-// events fire. In exchange, the federation coordinator excludes the
-// process's events from the partition's earliest-output-time bound, so
-// dense local-only activity (load generators, intra-platform traffic)
-// stops throttling downstream partitions' grant windows.
-//
-// The mark is inherited by scheduling: the process's sleep/wake events,
-// anything it schedules while holding the baton, and local datagram
-// deliveries it triggers all become local automatically. A resume
-// scheduled by a non-local event (a mailbox put from ordinary traffic,
-// say) is not local — so only processes whose wakes all originate from
-// their own timeline keep the full benefit.
-func (k *Kernel) SpawnLocal(name string, body func(p *Process)) *Process {
-	return k.spawnAt(k.now, name, body, true)
-}
-
 // SpawnAt creates a process whose body starts at simulated time t.
 func (k *Kernel) SpawnAt(t logical.Time, name string, body func(p *Process)) *Process {
-	return k.spawnAt(t, name, body, false)
-}
-
-func (k *Kernel) spawnAt(t logical.Time, name string, body func(p *Process), local bool) *Process {
 	p := k.SpawnParked(name, body)
-	e := k.scheduleReuse(t, false, p.wakeFn, true)
-	if local {
-		e.local = true
-	}
+	k.scheduleReuse(t, false, p.wakeFn, true)
 	return p
 }
 

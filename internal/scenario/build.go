@@ -121,7 +121,6 @@ func Build(spec Spec) (*World, error) {
 
 	// Pass 2: clients and noise generators.
 	for i := 0; i < n; i++ {
-		i := i
 		host := w.Hosts[i]
 		w.spawnClient(w.Runtimes[i], i, norm.Rounds, 0)
 
@@ -130,22 +129,20 @@ func Build(spec Spec) (*World, error) {
 		// cross-platform interaction. If the platform crashes, its source
 		// endpoint closes and the remaining sends are suppressed.
 		if norm.NoiseEvents > 0 {
-			src := host.MustBind(NoisePort + 1)
-			sinkAddr := simnet.Addr{Host: host.ID(), Port: NoisePort}
 			k := w.Runtimes[i].Kernel()
-			// SpawnLocal declares (and the kernel enforces) that the noise
+			g := &noiseGen{
+				k:     k,
+				src:   host.MustBind(NoisePort + 1),
+				sink:  simnet.Addr{Host: host.ID(), Port: NoisePort},
+				n:     norm.NoiseEvents,
+				every: norm.NoiseInterval,
+			}
+			// AtLocalFn declares (and the kernel enforces) that the noise
 			// chain never emits cross-partition, so the federation excludes
 			// its dense event timeline from earliest-output-time bounds —
 			// without it, 20µs noise ticks pin every partition's bound to
 			// its window end and force lookahead-cadence grants.
-			k.SpawnLocal(fmt.Sprintf("noise%02d", i), func(p *des.Process) {
-				var buf [4]byte
-				for m := 0; m < norm.NoiseEvents; m++ {
-					binary.BigEndian.PutUint32(buf[:], uint32(m))
-					src.Send(sinkAddr, buf[:])
-					p.Sleep(norm.NoiseInterval)
-				}
-			})
+			k.AtLocalFn(k.Now(), noiseStep, g)
 		}
 	}
 
@@ -177,6 +174,35 @@ func Build(spec Spec) (*World, error) {
 		}
 	}
 	return w, nil
+}
+
+// noiseGen is one platform's local load generator: a self-rescheduling
+// kernel event chain that sends n datagrams, one every `every`, from src
+// to the platform's own noise sink. Its steps never block, so it needs
+// no process. If the platform crashes, src closes and the remaining
+// sends are suppressed.
+type noiseGen struct {
+	k     *des.Kernel
+	src   *simnet.Endpoint
+	sink  simnet.Addr
+	m, n  int
+	every logical.Duration
+	buf   [4]byte
+}
+
+// noiseStep sends datagram m and schedules the next step. The step after
+// the last send sends nothing, but it is an event: the generator fires
+// n+1 events, and the event counts and (time, seq) schedules pinned by
+// the goldens and TestMeshNoiseBudget include it.
+func noiseStep(a any) {
+	g := a.(*noiseGen)
+	if g.m == g.n {
+		return
+	}
+	binary.BigEndian.PutUint32(g.buf[:], uint32(g.m))
+	g.src.Send(g.sink, g.buf[:])
+	g.m++
+	g.k.AfterTransientFn(g.every, noiseStep, g)
 }
 
 // traceCapacity bounds the trace ring for one run: every client call

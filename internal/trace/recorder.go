@@ -158,15 +158,18 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// snapshot copies the buffered records out in insertion order.
-func (r *Recorder) snapshot() ([]Record, uint64) {
+// appendRecords appends the buffered records to dst in insertion order,
+// copying straight from the ring, and returns the extended slice along
+// with the number of records evicted by overflow.
+func (r *Recorder) appendRecords(dst []Record) ([]Record, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Record, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.ring[(r.head+i)%len(r.ring)])
+	end := r.head + r.count
+	if end <= len(r.ring) {
+		return append(dst, r.ring[r.head:end]...), r.dropped
 	}
-	return out, r.dropped
+	dst = append(dst, r.ring[r.head:]...)
+	return append(dst, r.ring[:end-len(r.ring)]...), r.dropped
 }
 
 // Trace snapshots the recorder into a canonical trace (see Merge for

@@ -166,12 +166,21 @@ func sortCanonical(recs []Record) {
 // per partition kernel of a federation — into one canonical trace.
 // Because each component lives on exactly one kernel and records only
 // component-local state, the merged trace is byte-identical to the
-// trace of the same scenario run on a single kernel.
+// trace of the same scenario run on a single kernel. The records are
+// copied once, from each ring into a slice sized to their sum.
 func Merge(recorders ...*Recorder) *Trace {
 	t := &Trace{}
+	total := 0
 	for _, r := range recorders {
-		recs, dropped := r.snapshot()
-		t.Records = append(t.Records, recs...)
+		total += r.Len()
+	}
+	// An empty merge keeps Records nil, which EncodeJSON writes as null.
+	if total > 0 {
+		t.Records = make([]Record, 0, total)
+	}
+	for _, r := range recorders {
+		var dropped uint64
+		t.Records, dropped = r.appendRecords(t.Records)
 		t.Truncated += dropped
 	}
 	sortCanonical(t.Records)

@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/logical"
@@ -59,6 +62,75 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	}
 	if one.Records[2].Seq >= one.Records[3].Seq {
 		t.Fatal("same-component same-time records out of seq order")
+	}
+}
+
+// Merging overflowed recorders must sum their eviction counts and keep
+// each ring's newest records, in canonical order, whichever way the
+// rings wrapped.
+func TestMergeWrappedRecorders(t *testing.T) {
+	p0, p1 := NewRecorder(16), NewRecorder(16)
+	for i := 1; i <= 20; i++ {
+		p0.TraceEvent(logical.Time(2*i), "a", KindServe, []byte{byte(i)})
+	}
+	for i := 1; i <= 25; i++ {
+		p1.TraceEvent(logical.Time(3*i), "b", KindCall, []byte{byte(i)})
+	}
+	tr := Merge(p0, p1)
+	if tr.Truncated != 4+9 {
+		t.Fatalf("Truncated = %d, want %d", tr.Truncated, 4+9)
+	}
+	// The survivors are seqs 5..20 of "a" and 10..25 of "b".
+	var want []Record
+	for i := 5; i <= 20; i++ {
+		want = append(want, Record{Time: logical.Time(2 * i), Seq: uint64(i), Component: "a"})
+	}
+	for i := 10; i <= 25; i++ {
+		want = append(want, Record{Time: logical.Time(3 * i), Seq: uint64(i), Component: "b"})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Time != want[j].Time {
+			return want[i].Time < want[j].Time
+		}
+		return want[i].Component < want[j].Component
+	})
+	if len(tr.Records) != len(want) {
+		t.Fatalf("merged %d records, want %d", len(tr.Records), len(want))
+	}
+	for i, w := range want {
+		got := tr.Records[i]
+		if got.Time != w.Time || got.Seq != w.Seq || got.Component != w.Component {
+			t.Fatalf("record %d = (%v, %s, #%d), want (%v, %s, #%d)",
+				i, got.Time, got.Component, got.Seq, w.Time, w.Component, w.Seq)
+		}
+		if got.Digest != Digest([]byte{byte(got.Seq)}) {
+			t.Fatalf("record %d digest does not match its seq %d", i, got.Seq)
+		}
+	}
+}
+
+// Merge copies the records once, from the rings into one slice sized to
+// their sum: the bytes it allocates stay within 25% of the records'
+// own size.
+func TestMergeAllocatesOnce(t *testing.T) {
+	const perRecorder = 4096
+	recs := []*Recorder{NewRecorder(perRecorder), NewRecorder(perRecorder)}
+	for i, r := range recs {
+		// One more record than fits, so the copy has to cross the wrap.
+		for j := 0; j <= perRecorder; j++ {
+			r.TraceEvent(logical.Time(j), string(rune('a'+i)), KindServe, nil)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := Merge(recs...)
+	runtime.ReadMemStats(&after)
+	if tr.Len() != 2*perRecorder || tr.Truncated != 2 {
+		t.Fatalf("merged %d records (%d truncated), want %d (2)", tr.Len(), tr.Truncated, 2*perRecorder)
+	}
+	budget := 1.25 * float64(tr.Len()) * float64(unsafe.Sizeof(Record{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > budget {
+		t.Errorf("Merge allocated %.0f bytes for %d records, budget %.0f", got, tr.Len(), budget)
 	}
 }
 
